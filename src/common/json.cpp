@@ -88,8 +88,14 @@ class Parser {
     skip_ws();
     if (pos_ >= s_.size()) return std::nullopt;
     switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == Value::kMaxDepth) return std::nullopt;
+        ++depth_;
+        auto v = s_[pos_] == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         auto str = string();
         if (!str) return std::nullopt;
@@ -203,6 +209,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

@@ -84,8 +84,14 @@ class Value {
   /// otherwise nested levels indent by `indent` spaces.
   std::string dump(int indent = -1) const;
 
+  /// Deepest container nesting parse() accepts. The parser recurses once
+  /// per level, so without a limit a body of `[`s from the network could
+  /// overflow the stack.
+  static constexpr unsigned kMaxDepth = 256;
+
   /// Strict-enough parser for the dialect dump() emits (plus standard JSON
-  /// escapes). Returns nullopt on malformed input or trailing garbage.
+  /// escapes). Returns nullopt on malformed input, trailing garbage, or
+  /// arrays/objects nested more than kMaxDepth deep.
   static std::optional<Value> parse(std::string_view text);
 
  private:

@@ -1,6 +1,8 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 
 #include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
@@ -12,6 +14,9 @@ namespace {
 /// Thread states for the per-thread trace tracks. kHalt is terminal: a
 /// halted thread's track goes quiet instead of carrying an endless slice.
 enum ThreadState : std::uint8_t { kRun = 0, kSyncWait, kStall, kHalt };
+
+/// End of an operand-node chain (nodes are slot * 2 + src index).
+constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 
 const char* thread_state_name(std::uint8_t s) {
   switch (s) {
@@ -40,7 +45,12 @@ Cluster::Cluster(ClusterId id, const ClusterConfig& cfg, FetchPolicy policy,
   slots_.resize(cfg.rob_entries);
   free_slots_.reserve(cfg.rob_entries);
   for (std::uint16_t i = cfg.rob_entries; i-- > 0;) free_slots_.push_back(i);
-  iq_.reserve(cfg.iq_entries);
+  ready_.reserve(cfg.iq_entries);
+  wake_.assign(cfg.rob_entries, WakeState{});
+  consumers_.assign(cfg.rob_entries, kNoNode);
+  next_node_.assign(2 * std::size_t{cfg.rob_entries}, kNoNode);
+  event_link_.assign(cfg.rob_entries, kNoUop);
+  std::fill(std::begin(bucket_), std::end(bucket_), kNoUop);
   threads_.reserve(cfg.threads);
   if (trace_) {
     trace_->name_track(track_, "cluster " + std::to_string(id_) + " pipeline");
@@ -166,14 +176,104 @@ void Cluster::free_slot(std::uint16_t idx) {
   free_slots_.push_back(idx);
 }
 
-bool Cluster::src_ready(const SrcDep& dep, Cycle now, Slot* hazard) const {
-  if (dep.producer == kNoUop) return true;
-  const Uop& p = slots_[dep.producer];
+void Cluster::watch_operand(std::uint16_t idx, unsigned k, Cycle now) {
+  const Uop& u = slots_[idx];
+  const SrcDep& d = u.src[k];
+  if (d.producer == kNoUop) return;
+  const Uop& p = slots_[d.producer];
   // A dead or recycled slot means the producer already committed.
-  if (!p.live || p.gen != dep.gen) return true;
-  if (p.issued && p.complete_at <= now) return true;
-  *hazard = dep.producer_is_load ? Slot::kMemory : Slot::kData;
-  return false;
+  if (!p.live || p.gen != d.gen) return;
+  if (p.issued && p.complete_at <= now) return;
+  const std::uint32_t node = 2u * idx + k;
+  const bool arm_now = p.issued && consumers_[d.producer] == kNoNode;
+  next_node_[node] = consumers_[d.producer];
+  consumers_[d.producer] = node;
+  if (arm_now) arm(d.producer);
+  WakeState& w = wake_[idx];
+  w.waiting |= static_cast<std::uint8_t>(1u << k);
+  w.cls[k] = u.sync ? Slot::kSync
+                    : d.producer_is_load ? Slot::kMemory : Slot::kData;
+}
+
+void Cluster::enter_iq(std::uint16_t idx) {
+  const WakeState& w = wake_[idx];
+  ++iq_size_;
+  if (w.waiting) {
+    ++blocked_[static_cast<std::size_t>(w.blocked_class())];
+  } else {
+    ready_.push_back(idx);  // the youngest uop: the list stays age-ordered
+  }
+}
+
+void Cluster::arm(std::uint16_t producer) {
+  const Cycle at = slots_[producer].complete_at;
+  if (at == kNeverCycle) {
+    event_link_[producer] = recheck_;
+    recheck_ = producer;
+    return;
+  }
+  const unsigned b = static_cast<unsigned>(at % kWheel);
+  event_link_[producer] = bucket_[b];
+  bucket_[b] = producer;
+  bucket_bits_ |= std::uint64_t{1} << b;
+}
+
+void Cluster::drain_calendar(Cycle now) {
+  // Producers armed before their completion cycle was known. A producer
+  // that has committed since (its slot is dead; fetch, which could reuse
+  // it, runs after issue) fires with the rest.
+  std::uint16_t unbound = recheck_;
+  recheck_ = kNoUop;
+  while (unbound != kNoUop) {
+    const std::uint16_t next = event_link_[unbound];
+    const Uop& u = slots_[unbound];
+    if (u.live && u.complete_at > now) {
+      arm(unbound);
+    } else {
+      fire(unbound);
+    }
+    unbound = next;
+  }
+  // next_event() never lets a cluster sleep or skip past an event, so every
+  // due event is in this cycle's bucket.
+  const unsigned b = static_cast<unsigned>(now % kWheel);
+  if (!(bucket_bits_ >> b & 1u)) return;
+  std::uint16_t* link = &bucket_[b];
+  while (*link != kNoUop) {
+    const std::uint16_t p = *link;
+    if (slots_[p].complete_at <= now) {
+      *link = event_link_[p];
+      fire(p);
+    } else {
+      link = &event_link_[p];  // due a whole wheel turn or more ahead
+    }
+  }
+  if (bucket_[b] == kNoUop) bucket_bits_ &= ~(std::uint64_t{1} << b);
+}
+
+void Cluster::fire(std::uint16_t producer) {
+  std::uint32_t node = consumers_[producer];
+  consumers_[producer] = kNoNode;
+  while (node != kNoNode) {
+    const std::uint32_t next = next_node_[node];
+    satisfy(node);
+    node = next;
+  }
+}
+
+void Cluster::satisfy(std::uint32_t node) {
+  const auto idx = static_cast<std::uint16_t>(node >> 1);
+  WakeState& w = wake_[idx];
+  --blocked_[static_cast<std::size_t>(w.blocked_class())];
+  w.waiting &= static_cast<std::uint8_t>(~(1u << (node & 1u)));
+  if (w.waiting) {
+    ++blocked_[static_cast<std::size_t>(w.blocked_class())];
+    return;
+  }
+  // Woken uops are usually the youngest waiters, so search from the back.
+  auto pos = ready_.end();
+  while (pos != ready_.begin() && wake_[*(pos - 1)].age > w.age) --pos;
+  ready_.insert(pos, idx);
 }
 
 bool Cluster::mispredict_blocked(const ThreadSlot& t, Cycle now) const {
@@ -186,7 +286,7 @@ bool Cluster::mispredict_blocked(const ThreadSlot& t, Cycle now) const {
 }
 
 bool Cluster::has_dispatch_room(const ThreadSlot& t) const {
-  if (free_slots_.empty() || iq_.size() >= cfg_.iq_entries) return false;
+  if (free_slots_.empty() || iq_size_ >= cfg_.iq_entries) return false;
   const isa::Inst& next = t.tc->peek();
   const isa::OpInfo& oi = next.info();
   if (oi.writes_int && next.rd != isa::kRegZero &&
@@ -249,7 +349,7 @@ Cycle Cluster::next_event(Cycle now) {
     if (!t.rob.empty()) {
       const Uop& head = slots_[t.rob.front()];
       // The ROB head commits the cycle it completes; younger completions
-      // are passive until then (dependents are handled by the IQ scan).
+      // are passive until then (dependents are calendar events below).
       if (head.issued) consider(head.complete_at);
     }
     if (!t.tc || t.tc->done()) continue;
@@ -268,7 +368,7 @@ Cycle Cluster::next_event(Cycle now) {
     if (mispredict_blocked(t, next)) {
       const Uop& b = slots_[t.blocked_on];
       // Fetch resumes the cycle after the branch resolves; an unissued
-      // branch is gated by its operands via the IQ scan.
+      // branch is gated by its operands' calendar events.
       if (b.issued) consider(b.complete_at + 1);
       continue;
     }
@@ -279,27 +379,17 @@ Cycle Cluster::next_event(Cycle now) {
     // No dispatch room: only a commit or issue (events above/below) frees
     // it, so this thread contributes no horizon of its own.
   }
-  for (const std::uint16_t idx : iq_) {
-    const Uop& u = slots_[idx];
-    bool known = true;
-    Cycle issuable_at = next;
-    for (const SrcDep& dep : u.src) {
-      if (dep.producer == kNoUop) continue;
-      const Uop& p = slots_[dep.producer];
-      if (!p.live || p.gen != dep.gen) continue;  // already satisfied
-      if (!p.issued) {
-        // The producer's own issue is a separate event (it is in the IQ
-        // too, and the dependence graph bottoms out at a known uop).
-        known = false;
-        continue;
-      }
-      // src_ready() flips — and the stall histogram with it — the cycle
-      // the producer completes, so every such flip bounds the span even
-      // when the uop still cannot issue.
-      if (p.complete_at > now) consider(p.complete_at);
-      if (p.complete_at > issuable_at) issuable_at = p.complete_at;
+  if (!ready_.empty()) return next;  // an operand-ready uop: full tick
+  if (recheck_ != kNoUop) return next;  // completions re-read next tick
+  // Every operand readiness flip — which moves the stall histogram even
+  // when its uop still cannot issue — is a calendar event, so the earliest
+  // one bounds the span. Operands of unissued producers need no horizon:
+  // their producer's own issue is a separate event.
+  for (std::uint64_t bits = bucket_bits_; bits != 0; bits &= bits - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(bits));
+    for (std::uint16_t p = bucket_[b]; p != kNoUop; p = event_link_[p]) {
+      consider(slots_[p].complete_at);
     }
-    if (known && issuable_at <= next) return next;  // issuable: full tick
   }
   if (ev > next) prime_quiet_plan(now);
   return ev;
@@ -310,17 +400,12 @@ void Cluster::prime_quiet_plan(Cycle now) {
   // (next_event() ends the span at the first cycle any of them flips), so
   // evaluating at the first skipped cycle stands for all of them.
   const Cycle q = now + 1;
-  std::uint32_t hist[kNumSlots] = {};
   // issue()'s stall histogram: during a quiescent span every IQ entry is
-  // operand-stalled, in the same short-circuit order as issue().
-  for (const std::uint16_t idx : iq_) {
-    const Uop& u = slots_[idx];
-    Slot hz = Slot::kData;
-    const bool ready =
-        src_ready(u.src[0], q, &hz) && src_ready(u.src[1], q, &hz);
-    CSMT_ASSERT_MSG(!ready, "issuable uop inside a quiescent span");
-    ++hist[static_cast<std::size_t>(u.sync ? Slot::kSync : hz)];
-  }
+  // operand-stalled and no operand becomes ready, so the blocked counts
+  // are the histogram.
+  CSMT_ASSERT_MSG(ready_.empty(), "issuable uop inside a quiescent span");
+  std::uint32_t hist[kNumSlots];
+  for (std::size_t i = 0; i < kNumSlots; ++i) hist[i] = blocked_[i];
   // account()'s per-thread contributions, plus fetch()'s two dispatch-stall
   // checks (the round-robin "selected thread lacks room" check and the
   // chosen<0 fallback scan).
@@ -524,7 +609,10 @@ void Cluster::commit(Cycle now) {
 }
 
 void Cluster::issue(Cycle now) {
-  for (std::uint32_t& h : cycle_hist_) h = 0;
+  drain_calendar(now);
+  // Operand-blocked uops enter the histogram by class count; only the
+  // ready ones are walked.
+  for (std::size_t i = 0; i < kNumSlots; ++i) cycle_hist_[i] = blocked_[i];
   issued_useful_ = 0;
   issued_sync_ = 0;
   dispatch_stalled_ = false;
@@ -534,24 +622,20 @@ void Cluster::issue(Cycle now) {
                                 cfg_.fp_units};
   unsigned width_used = 0;
 
-  // Uops that cannot issue are compacted toward the front of iq_ in place:
-  // the write cursor never passes the read cursor, so no scratch vector —
-  // and no per-cycle allocation — is needed.
-  std::size_t waiting = 0;
+  // Ready uops that cannot issue are compacted toward the front of ready_
+  // in place: the write cursor never passes the read cursor, so no scratch
+  // vector — and no per-cycle allocation — is needed. The walk is oldest
+  // first, so width, FU and memory-system arbitration (and the order of
+  // memory-system accesses) are those of a scan over the whole IQ.
+  std::size_t kept = 0;
 
-  for (const std::uint16_t idx : iq_) {
+  for (const std::uint16_t idx : ready_) {
     Uop& u = slots_[idx];
     auto stall = [&](Slot s) {
       ++cycle_hist_[static_cast<std::size_t>(u.sync ? Slot::kSync : s)];
-      iq_[waiting++] = idx;
+      ready_[kept++] = idx;
     };
 
-    // Operand readiness (the paper's data/memory hazards).
-    Slot hz = Slot::kData;
-    if (!src_ready(u.src[0], now, &hz) || !src_ready(u.src[1], now, &hz)) {
-      stall(hz);
-      continue;
-    }
     // Issue bandwidth and functional units (structural hazards).
     if (width_used >= cfg_.width) {
       stall(Slot::kStructural);
@@ -600,6 +684,10 @@ void Cluster::issue(Cycle now) {
     }
 
     u.issued = true;
+    --iq_size_;
+    // Every latency is at least one cycle, so no consumer woken here can
+    // become ready within this walk.
+    if (consumers_[idx] != kNoNode) arm(idx);
     ++width_used;
     ++stats_.issued;
     if (u.sync) {
@@ -608,7 +696,7 @@ void Cluster::issue(Cycle now) {
       ++issued_useful_;
     }
   }
-  iq_.resize(waiting);
+  ready_.resize(kept);
 }
 
 void Cluster::fetch(Cycle now) {
@@ -702,7 +790,7 @@ void Cluster::fetch(Cycle now) {
     const isa::OpInfo& oi = next.info();
     const bool needs_int_rename = oi.writes_int && next.rd != isa::kRegZero;
 
-    if (free_slots_.empty() || iq_.size() >= cfg_.iq_entries ||
+    if (free_slots_.empty() || iq_size_ >= cfg_.iq_entries ||
         (needs_int_rename && int_rename_used_ >= cfg_.int_rename) ||
         (oi.writes_fp && fp_rename_used_ >= cfg_.fp_rename)) {
       dispatch_stalled_ = true;
@@ -715,9 +803,9 @@ void Cluster::fetch(Cycle now) {
     CSMT_ASSERT(stepped);
     u.hw_thread = static_cast<unsigned>(chosen);
     u.dispatched_at = now;
-    // Cache the decode-derived hot bits: the per-cycle issue scan reads
-    // them every cycle the uop waits, so they must not cost a pointer
-    // chase through dyn.inst each time.
+    // Cache the decode-derived hot bits: the issue stage reads them when
+    // it classifies and arbitrates, so they must not cost a pointer chase
+    // through dyn.inst each time.
     u.fu = oi.fu;
     u.latency = oi.latency;
     u.is_load = oi.is_load;
@@ -727,20 +815,21 @@ void Cluster::fetch(Cycle now) {
 
     // Capture source dependences from the rename maps (before the dest map
     // update, so "add r1, r1, r2" reads the previous writer of r1).
-    auto capture = [&](bool rd_int, bool rd_fp, isa::RegIdx r) -> SrcDep {
+    // Written field by field: returning the SrcDep by value compiled to a
+    // stack temporary whose copy-back stalled on store forwarding.
+    auto capture = [&](SrcDep& d, bool rd_int, bool rd_fp, isa::RegIdx r) {
+      const RenameEntry* e = nullptr;
       if (rd_int) {
-        if (r == isa::kRegZero) return {};
-        const RenameEntry& e = t.int_map[r];
-        return {e.producer, e.gen, e.is_load};
+        if (r != isa::kRegZero) e = &t.int_map[r];
+      } else if (rd_fp) {
+        e = &t.fp_map[r];
       }
-      if (rd_fp) {
-        const RenameEntry& e = t.fp_map[r];
-        return {e.producer, e.gen, e.is_load};
-      }
-      return {};
+      d.producer = e ? e->producer : kNoUop;
+      d.gen = e ? e->gen : 0;
+      d.producer_is_load = e && e->is_load;
     };
-    u.src[0] = capture(oi.reads_int1, oi.reads_fp1, u.dyn.inst->rs1);
-    u.src[1] = capture(oi.reads_int2, oi.reads_fp2, u.dyn.inst->rs2);
+    capture(u.src[0], oi.reads_int1, oi.reads_fp1, u.dyn.inst->rs1);
+    capture(u.src[1], oi.reads_int2, oi.reads_fp2, u.dyn.inst->rs2);
 
     u.holds_int_rename = needs_int_rename;
     u.holds_fp_rename = oi.writes_fp;
@@ -753,9 +842,16 @@ void Cluster::fetch(Cycle now) {
       t.fp_map[u.dyn.inst->rd] = {idx, u.gen, oi.is_load};
     }
 
+    // Field by field too (watch_operand() sets cls[k] with each waiting
+    // bit): an aggregate store here compiled the same way.
+    wake_[idx].age = next_age_++;
+    wake_[idx].waiting = 0;
+    watch_operand(idx, 0, now);
+    watch_operand(idx, 1, now);
+
     t.rob.push_back(idx);
     ++t.window_count;
-    iq_.push_back(idx);
+    enter_iq(idx);
     t.in_sync = u.sync;
     ++stats_.fetched;
 
@@ -841,7 +937,7 @@ unsigned Cluster::running_threads() const { return last_running_; }
 
 std::string Cluster::debug_dump(Cycle now) const {
   std::string out = "cluster " + std::to_string(id_) + " iq=" +
-                    std::to_string(iq_.size()) +
+                    std::to_string(iq_size_) +
                     " int_ren=" + std::to_string(int_rename_used_) +
                     " fp_ren=" + std::to_string(fp_rename_used_) + "\n";
   for (std::size_t i = 0; i < threads_.size(); ++i) {
@@ -861,6 +957,182 @@ std::string Cluster::debug_dump(Cycle now) const {
     }
   }
   return out;
+}
+
+std::vector<std::uint16_t> Cluster::iq_order() const {
+  std::vector<std::uint16_t> iq;
+  iq.reserve(iq_size_);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].live && !slots_[i].issued) {
+      iq.push_back(static_cast<std::uint16_t>(i));
+    }
+  }
+  std::sort(iq.begin(), iq.end(), [this](std::uint16_t a, std::uint16_t b) {
+    return wake_[a].age < wake_[b].age;
+  });
+  return iq;
+}
+
+void Cluster::rebuild_issue_state(const std::vector<std::uint16_t>& iq,
+                                  ckpt::Serializer& s) {
+  iq_size_ = 0;
+  next_age_ = 0;
+  ready_.clear();
+  std::fill(consumers_.begin(), consumers_.end(), kNoNode);
+  std::fill(std::begin(bucket_), std::end(bucket_), kNoUop);
+  bucket_bits_ = 0;
+  recheck_ = kNoUop;
+  for (std::uint32_t& b : blocked_) b = 0;
+  std::size_t in_flight = 0;
+  for (Uop& u : slots_) {
+    for (SrcDep& d : u.src) {
+      if (d.producer != kNoUop && d.producer >= slots_.size()) {
+        s.fail("uop source names a slot beyond the window");
+        d.producer = kNoUop;
+      }
+    }
+    if (u.live && !u.issued) ++in_flight;
+  }
+  std::vector<char> seen(slots_.size(), 0);
+  for (const std::uint16_t idx : iq) {
+    if (idx >= slots_.size() || seen[idx] || !slots_[idx].live ||
+        slots_[idx].issued) {
+      s.fail("iq entry is not a distinct waiting uop");
+      return;
+    }
+    seen[idx] = 1;
+  }
+  if (iq.size() != in_flight) {
+    s.fail("iq does not list every waiting uop");
+    return;
+  }
+  for (const std::uint16_t idx : iq) {
+    wake_[idx].age = next_age_++;
+    wake_[idx].waiting = 0;
+    watch_operand(idx, 0, 0);
+    watch_operand(idx, 1, 0);
+    enter_iq(idx);
+  }
+  // The restored clock is unknown here, so every armed producer is
+  // re-read by the first tick, which fires the past-due ones before it
+  // walks the ready list (no horizon is asked for before that tick).
+  for (std::uint16_t& head : bucket_) {
+    while (head != kNoUop) {
+      const std::uint16_t p = head;
+      head = event_link_[p];
+      event_link_[p] = recheck_;
+      recheck_ = p;
+    }
+  }
+  bucket_bits_ = 0;
+}
+
+IssueAudit Cluster::audit_issue(Cycle now) const {
+  IssueAudit a;
+  auto fail = [&a](const std::string& msg) {
+    if (a.error.empty()) a.error = msg;
+  };
+  const std::vector<std::uint16_t> iq = iq_order();
+  a.waiting_uops = static_cast<unsigned>(iq.size());
+  if (iq.size() != iq_size_) fail("iq size counter out of step");
+
+  // Which producer's chain each operand node is on (kNoUop: none), and
+  // which producers are in the calendar.
+  std::vector<std::uint16_t> chained_to(next_node_.size(), kNoUop);
+  for (std::size_t p = 0; p < slots_.size(); ++p) {
+    for (std::uint32_t n = consumers_[p]; n != kNoNode; n = next_node_[n]) {
+      if (chained_to[n] != kNoUop) {
+        fail("operand node chained twice");
+        return a;
+      }
+      chained_to[n] = static_cast<std::uint16_t>(p);
+    }
+  }
+  std::vector<char> armed(slots_.size(), 0);
+  for (unsigned b = 0; b < kWheel; ++b) {
+    if ((bucket_[b] != kNoUop) != ((bucket_bits_ >> b & 1u) != 0)) {
+      fail("bucket bitmap out of step");
+    }
+    for (std::uint16_t p = bucket_[b]; p != kNoUop; p = event_link_[p]) {
+      if (armed[p]++) {
+        fail("producer armed twice");
+        return a;
+      }
+      const Cycle at = slots_[p].complete_at;
+      if (at == kNeverCycle || at % kWheel != b) {
+        fail("event in the wrong bucket");
+      }
+      if (at <= now) fail("calendar event due but not fired");
+    }
+  }
+  for (std::uint16_t p = recheck_; p != kNoUop; p = event_link_[p]) {
+    if (armed[p]++) {
+      fail("producer armed twice");
+      return a;
+    }
+    ++a.unbound;
+  }
+  for (std::size_t p = 0; p < slots_.size(); ++p) {
+    const bool chain = consumers_[p] != kNoNode;
+    const Uop& u = slots_[p];
+    if (chain && !u.live) fail("consumer chain on a dead slot");
+    if (chain != (armed[p] != 0) && u.issued) {
+      fail("an in-flight producer's chain is not in the calendar");
+    }
+    if (armed[p] && !u.issued) fail("an unissued producer is armed");
+  }
+
+  std::vector<std::uint16_t> ready;
+  unsigned registered = 0;
+  for (const std::uint16_t idx : iq) {
+    const Uop& u = slots_[idx];
+    std::uint8_t mask = 0;
+    for (unsigned k = 0; k < 2; ++k) {
+      const SrcDep& d = u.src[k];
+      const std::uint32_t node = 2u * idx + k;
+      bool ready_now = d.producer == kNoUop;
+      if (!ready_now) {
+        const Uop& p = slots_[d.producer];
+        if (p.live && p.gen != d.gen) ++a.recycled;
+        ready_now = !p.live || p.gen != d.gen ||
+                    (p.issued && p.complete_at <= now);
+        if (!ready_now) {
+          ++(p.issued ? a.on_inflight : a.on_unissued);
+          if (chained_to[node] != d.producer) {
+            fail("unready operand is not on its producer's chain");
+          }
+        }
+      }
+      if (ready_now) {
+        if (chained_to[node] != kNoUop) fail("ready operand still chained");
+      } else {
+        mask |= static_cast<std::uint8_t>(1u << k);
+        ++registered;
+      }
+    }
+    if (mask != wake_[idx].waiting) fail("operand readiness out of step");
+    if (mask == 0) {
+      ready.push_back(idx);
+    } else {
+      // §4.1 order: the sync tag, then the first unready operand's hazard.
+      const SrcDep& first = u.src[(mask & 1u) ? 0 : 1];
+      const Slot cls = u.sync ? Slot::kSync
+                       : first.producer_is_load ? Slot::kMemory
+                                                : Slot::kData;
+      if (cls != wake_[idx].blocked_class()) fail("stall class out of step");
+      ++a.blocked[static_cast<std::size_t>(cls)];
+    }
+  }
+  const auto chained = static_cast<unsigned>(
+      std::count_if(chained_to.begin(), chained_to.end(),
+                    [](std::uint16_t p) { return p != kNoUop; }));
+  if (chained != registered) fail("operand chained for no waiting operand");
+  a.ready = static_cast<unsigned>(ready.size());
+  if (ready != ready_) fail("ready list is not the operand-ready uops by age");
+  for (std::size_t i = 0; i < kNumSlots; ++i) {
+    if (a.blocked[i] != blocked_[i]) fail("blocked counts out of step");
+  }
+  return a;
 }
 
 void Cluster::serialize(ckpt::Serializer& s,
@@ -992,17 +1264,21 @@ void Cluster::serialize(ckpt::Serializer& s,
     for (auto& v : free_slots_) s.io(v);
   }
   {
-    std::uint64_t n = iq_.size();
+    // The IQ travels as its waiting uops oldest first; the wakeup state is
+    // derived from it and the slot array.
+    std::vector<std::uint16_t> iq;
+    if (!s.loading()) iq = iq_order();
+    std::uint64_t n = iq.size();
     s.io(n);
     if (s.loading()) {
       if (!s.bounded_count(n) || n > cfg_.iq_entries) {
         s.fail("iq larger than configured");
-        iq_.clear();
-      } else {
-        iq_.resize(static_cast<std::size_t>(n));
+        n = 0;
       }
+      iq.resize(static_cast<std::size_t>(n));
     }
-    for (auto& v : iq_) s.io(v);
+    for (auto& v : iq) s.io(v);
+    if (s.loading()) rebuild_issue_state(iq, s);
   }
 
   s.io(int_rename_used_);

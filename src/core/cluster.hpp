@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "branch/predictor.hpp"
@@ -45,7 +46,7 @@ struct SrcDep {
 
 /// One in-flight dynamic instruction. The decode-derived fields (`fu`,
 /// `latency`, the memory/sync bits) are cached here at dispatch so the
-/// per-cycle issue scan never re-derives them through `dyn.inst`.
+/// issue stage never re-derives them through `dyn.inst`.
 struct Uop {
   exec::DynInst dyn;
   std::uint32_t gen = 0;
@@ -64,6 +65,21 @@ struct Uop {
   bool holds_int_rename = false;
   bool holds_fp_rename = false;
   bool mispredicted = false;
+};
+
+/// Brute-force cross-check of the wakeup-driven issue state (a test and
+/// debugging aid; see Cluster::audit_issue).
+struct IssueAudit {
+  std::string error;  ///< first inconsistency found; empty when none
+  unsigned waiting_uops = 0;  ///< uops in the IQ
+  unsigned ready = 0;         ///< operand-ready uops (lost width/FU/memsys)
+  unsigned on_unissued = 0;   ///< operands waiting on an unissued producer
+  unsigned on_inflight = 0;   ///< operands waiting on an issued producer
+  /// Operands whose producer committed and whose slot holds a newer uop.
+  unsigned recycled = 0;
+  /// Producers armed before the cycle barrier bound their completion.
+  unsigned unbound = 0;
+  std::uint32_t blocked[kNumSlots] = {};  ///< operand-blocked uops by class
 };
 
 /// Fixed-capacity FIFO of slot indices: the per-thread ROB view. Capacity is
@@ -256,6 +272,16 @@ class Cluster {
   /// Human-readable snapshot of pipeline state (debugging aid).
   std::string debug_dump(Cycle now) const;
 
+  /// Re-derives every waiting uop's operand state at `now` by brute force —
+  /// the per-cycle scan of the paper's §4.1 accounting — and compares it
+  /// with the incremental wakeup structures: readiness bits, the per-class
+  /// blocked counts, the age-ordered ready list, and the placement of every
+  /// unready operand on its producer's consumer chain and of every chain
+  /// of an issued producer in the calendar.
+  /// Valid right after tick(now) or a run that ended at now+1. O(window)
+  /// and allocating; never called by the simulator itself.
+  IssueAudit audit_issue(Cycle now) const;
+
   /// Closes the open per-thread state slices at end of run (tracing only).
   void trace_flush(Cycle end);
 
@@ -320,9 +346,45 @@ class Cluster {
                    std::uint64_t fetched_before);
   std::uint8_t thread_state(const ThreadSlot& t, Cycle now) const;
 
-  /// True when the dependence is satisfied at `now`. Otherwise `*hazard`
-  /// reports why (kMemory for an in-flight load producer, kData otherwise).
-  bool src_ready(const SrcDep& dep, Cycle now, Slot* hazard) const;
+  /// Calendar buckets: one per cycle modulo the wheel size. An event due
+  /// a whole turn or more ahead shares its bucket and waits its turn.
+  static constexpr unsigned kWheel = 64;
+
+  /// Registers operand `k` of the freshly dispatched uop `idx` on its
+  /// producer's consumer chain, unless it is ready at `now`; sets the
+  /// operand's `waiting` bit if so. The chain of an issued producer is a
+  /// calendar event, armed here if this is its first consumer.
+  void watch_operand(std::uint16_t idx, unsigned k, Cycle now);
+  /// Enters `idx` into the issue stage once its operands are registered:
+  /// the ready list or the blocked count of its hazard class.
+  void enter_iq(std::uint16_t idx);
+  /// Puts issued `producer`'s consumer chain in the calendar at its
+  /// completion cycle. A deferred completion is still kNeverCycle until the
+  /// cycle barrier binds it, so it goes on the recheck list, re-read at the
+  /// next tick.
+  void arm(std::uint16_t producer);
+  /// Fires every calendar event due at `now`.
+  void drain_calendar(Cycle now);
+  /// Every operand on `producer`'s consumer chain became ready.
+  void fire(std::uint16_t producer);
+  /// Operand node `node` (slot * 2 + src) became ready.
+  void satisfy(std::uint32_t node);
+  /// Per-slot wakeup record, kept apart from Uop so that waking a consumer
+  /// touches 16 bytes rather than the uop's cache lines.
+  struct WakeState {
+    std::uint64_t age = 0;    ///< dispatch order within the cluster
+    std::uint8_t waiting = 0;  ///< bit k: src[k] not ready yet
+    /// Stall class while src[k] is the first unready operand, in the order
+    /// the §4.1 accounting checks it: sync tag, then the operand's hazard
+    /// (kMemory behind a load producer, kData otherwise).
+    Slot cls[2] = {};
+    Slot blocked_class() const { return cls[(waiting & 1u) ? 0 : 1]; }
+  };
+  /// Waiting uops oldest first (the serialized IQ).
+  std::vector<std::uint16_t> iq_order() const;
+  /// Rebuilds the derived wakeup state from a restored IQ and slot array.
+  void rebuild_issue_state(const std::vector<std::uint16_t>& iq,
+                           ckpt::Serializer& s);
 
   /// True if `t` may fetch this cycle (not done, not sync-blocked or
   /// waking, not mispredict-blocked, room for at least one instruction).
@@ -364,7 +426,22 @@ class Cluster {
   std::vector<ThreadSlot> threads_;
   std::vector<Uop> slots_;
   std::vector<std::uint16_t> free_slots_;
-  std::vector<std::uint16_t> iq_;  ///< waiting-to-issue uops, oldest first
+
+  // Wakeup-driven issue (DESIGN.md §9). Every array is sized at
+  // construction; nothing here is checkpointed (rebuilt from slots_ and
+  // the serialized IQ order on restore).
+  unsigned iq_size_ = 0;              ///< uops dispatched and not yet issued
+  std::uint64_t next_age_ = 0;        ///< dispatch counter
+  std::vector<WakeState> wake_;       ///< per slot
+  std::vector<std::uint16_t> ready_;  ///< operand-ready uops, oldest first
+  std::vector<std::uint32_t> consumers_;  ///< per slot: operand-node chain
+  std::vector<std::uint32_t> next_node_;  ///< per operand node: chain link
+  std::vector<std::uint16_t> event_link_;  ///< per slot: next in its bucket
+  std::uint16_t bucket_[kWheel];  ///< calendar: producers by complete_at
+  std::uint64_t bucket_bits_ = 0;     ///< nonempty buckets
+  std::uint16_t recheck_ = kNoUop;    ///< producers with an unbound completion
+  std::uint32_t blocked_[kNumSlots] = {};  ///< operand-blocked uops by class
+
   unsigned int_rename_used_ = 0;
   unsigned fp_rename_used_ = 0;
   unsigned fetch_rr_ = 0;

@@ -7,6 +7,11 @@
 // SIGKILL it leaves only the on-disk checkpoint behind, but it does so at a
 // deterministic cycle, which keeps the test hermetic.
 //
+// The issue stage's wakeup state (DESIGN.md §9) is derived, not saved, so
+// one test snapshots runs at cycles where dependents are waiting both on
+// unissued producers and on in-flight ones, including deferred cross-chip
+// completions, and checks the rebuilt state resumes bit-identically.
+//
 // Also covers the sweep integration end to end: a planted checkpoint makes
 // the sweep resume that point, count it in SweepCounters::resumed, record
 // resumed_from_cycle in the cached JSON, and delete the checkpoint once the
@@ -236,6 +241,84 @@ TEST(CkptResume, ResumeUnderMemoryChannelBacklogIsBitIdentical) {
   EXPECT_TRUE(resumed.validated);
   expect_stats_equal(resumed.stats, ref.stats, "memory-channel backlog");
   fs::remove(path);
+}
+
+/// The issue-stage state `spec` has at the loop header of cycle `at` —
+/// exactly what a snapshot taken at `at` captures — summed over every
+/// cluster. Each cluster's wakeup state is first audited against its
+/// brute-force re-derivation; the first inconsistency lands in `error`.
+core::IssueAudit issue_state_at(const ExperimentSpec& spec, Cycle at) {
+  MachineConfig mc;
+  mc.arch = core::arch_preset(spec.arch);
+  mc.chips = spec.chips;
+  mc.max_cycles = at;
+  Machine machine(mc);
+  const auto wl = workloads::make_workload(spec.workload);
+  mem::PagedMemory memory;
+  const workloads::WorkloadBuild build =
+      wl->build(memory, mc.total_threads(), spec.scale);
+  machine.run(Mix::single(build.program, memory, build.args_base,
+                          mc.total_threads()));
+  core::IssueAudit sum;
+  for (unsigned c = 0; c < machine.num_chips(); ++c) {
+    core::Chip& chip = machine.chip(c);
+    for (unsigned k = 0; k < chip.num_clusters(); ++k) {
+      const core::IssueAudit a = chip.cluster(k).audit_issue(at - 1);
+      if (sum.error.empty()) sum.error = a.error;
+      sum.on_unissued += a.on_unissued;
+      sum.on_inflight += a.on_inflight;
+      sum.unbound += a.unbound;
+    }
+  }
+  return sum;
+}
+
+TEST(CkptResume, ResumeWithDependentsInFlightIsBitIdentical) {
+  for (const unsigned chips : {1u, 4u}) {
+    ExperimentSpec spec;
+    spec.workload = "ocean";
+    spec.arch = core::ArchKind::kSmt2;
+    spec.chips = chips;
+    spec.scale = 1;
+    const std::string where = "ocean/SMT2/chips=" + std::to_string(chips);
+    const ExperimentResult ref = run_experiment(spec);
+    ASSERT_FALSE(ref.stats.timed_out) << where;
+
+    // The first cycle past a third of the run whose snapshot holds
+    // dependents of unissued producers and of in-flight ones — on the
+    // multi-chip machine also a producer whose deferred completion the
+    // last barrier bound, which the wakeup state re-reads next tick.
+    Cycle at = 0;
+    for (Cycle c = ref.stats.cycles / 3; c < ref.stats.cycles && at == 0;
+         ++c) {
+      const core::IssueAudit a = issue_state_at(spec, c);
+      ASSERT_EQ(a.error, "") << where << " at cycle " << c;
+      if (a.on_unissued > 0 && a.on_inflight > 0 &&
+          (chips == 1 || a.unbound > 0)) {
+        at = c;
+      }
+    }
+    ASSERT_GT(at, 0u) << where;
+
+    const std::string path =
+        (fs::path(::testing::TempDir()) /
+         ("inflight-" + std::to_string(chips) + ".ckpt"))
+            .string();
+    fs::remove(path);
+    const RunStats partial = run_killed(spec, at + 1, at, path, kTag);
+    ASSERT_TRUE(partial.timed_out) << where;
+    ASSERT_TRUE(fs::exists(path)) << where;
+
+    ExperimentSpec resume = spec;
+    resume.ckpt_interval = at;
+    resume.ckpt_path = path;
+    resume.ckpt_tag = kTag;
+    const ExperimentResult resumed = run_experiment(resume);
+    EXPECT_EQ(resumed.resumed_from_cycle, at) << where;
+    EXPECT_TRUE(resumed.validated) << where;
+    expect_stats_equal(resumed.stats, ref.stats, where);
+    fs::remove(path);
+  }
 }
 
 TEST(CkptResume, ForeignOrCorruptCheckpointIsIgnoredNotFatal) {

@@ -1,12 +1,17 @@
 // Cluster/Chip pipeline tests: dependent-chain timing, width and FU
 // structural limits, branch misprediction penalties, rename/window stalls,
-// sync blocking, slot-accounting conservation, and Table 2 presets.
+// sync blocking, slot-accounting conservation, the wakeup-driven issue
+// stage's edge cases, and Table 2 presets.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "cache/backend.hpp"
 #include "core/chip.hpp"
 #include "exec/thread_group.hpp"
 #include "isa/builder.hpp"
+#include "noc/dash.hpp"
 
 namespace csmt::core {
 namespace {
@@ -188,6 +193,199 @@ TEST(SlotAccounting, BlockedThreadsChargeSync) {
   const RunResult r2 =
       run_on(arch_preset(ArchKind::kSmt4), b.take(), 8, memory);
   EXPECT_GT(r2.stats.slots.fraction(Slot::kSync), 0.4);
+}
+
+// ---------- wakeup-driven issue (DESIGN.md §9) ----------------------------
+//
+// Every test below checks, after every cycle of every cluster, that the
+// incremental wakeup state matches a brute-force per-cycle re-derivation of
+// each waiting uop's operands (Cluster::audit_issue), and that the edge
+// case it is named after really occurred.
+
+/// What the per-cycle audits saw over a run.
+struct AuditTally {
+  unsigned max_ready = 0;
+  std::uint64_t on_unissued = 0;
+  std::uint64_t on_inflight = 0;
+  std::uint64_t recycled = 0;
+  std::uint64_t unbound = 0;
+  std::uint64_t blocked_sync = 0;
+  ChipStats stats;  ///< set by run_audited
+};
+
+void audit_cycle(const Chip& chip, Cycle now, AuditTally* tally) {
+  for (unsigned c = 0; c < chip.num_clusters(); ++c) {
+    const IssueAudit a = chip.cluster(c).audit_issue(now);
+    ASSERT_EQ(a.error, "") << "cluster " << c << " at cycle " << now;
+    tally->max_ready = std::max(tally->max_ready, a.ready);
+    tally->on_unissued += a.on_unissued;
+    tally->on_inflight += a.on_inflight;
+    tally->recycled += a.recycled;
+    tally->unbound += a.unbound;
+    tally->blocked_sync += a.blocked[static_cast<std::size_t>(Slot::kSync)];
+  }
+}
+
+/// run_on with per-cycle audits and cluster sleep enabled (a sleeping
+/// cluster's wakeup state must stay consistent too).
+AuditTally run_audited(const ArchConfig& cfg, const isa::Program& program,
+                       unsigned nthreads, mem::PagedMemory& memory) {
+  cache::MemSysParams mp;
+  cache::LocalMemoryBackend backend(mp);
+  Chip chip(0, cfg, mp, backend);
+  chip.set_lazy(true);
+  exec::ThreadGroup group(program, memory, nthreads, 0);
+  for (unsigned t = 0; t < nthreads; ++t) chip.attach_thread(&group.thread(t));
+  AuditTally tally;
+  Cycle now = 0;
+  while (!chip.finished() && now < 1'000'000) {
+    chip.tick(now);
+    audit_cycle(chip, now, &tally);
+    if (::testing::Test::HasFatalFailure()) return tally;
+    ++now;
+  }
+  chip.settle(now);
+  EXPECT_TRUE(chip.finished()) << "pipeline did not drain";
+  tally.stats = chip.stats();
+  return tally;
+}
+
+TEST(IsaLatency, EveryOpTakesAtLeastOneCycle) {
+  // The issue stage relies on this: a producer issued this cycle completes
+  // at now+1 or later, so none of its consumers can become ready within
+  // the same issue walk.
+  for (std::size_t i = 0; i < isa::kNumOps; ++i) {
+    const auto op = static_cast<isa::Op>(i);
+    EXPECT_GE(isa::op_info(op).latency, 1u) << isa::op_name(op);
+  }
+}
+
+TEST(WakeupIssue, RecycledProducerSlotReadsAsCommitted) {
+  // `r` is written once at the top and read after far more instructions
+  // than the window holds: by then its producer has committed and the slot
+  // has been reused, so the rename map entry is stale (generation
+  // mismatch) and the operand must read as ready, not as waiting on the
+  // slot's new occupant.
+  ProgramBuilder b("recycle");
+  isa::Reg r = b.ireg(), x = b.ireg(), i = b.ireg(), n = b.ireg();
+  b.li(r, 3);
+  b.li(n, 40);
+  b.for_range(i, 0, n, 1, [&] {
+    for (int k = 0; k < 8; ++k) b.div(x, x, r);  // long-latency occupants
+    b.add(x, x, r);
+  });
+  b.halt();
+  mem::PagedMemory memory;
+  const AuditTally t =
+      run_audited(arch_preset(ArchKind::kFa4), b.take(), 1, memory);
+  EXPECT_GT(t.recycled, 0u);
+  EXPECT_GT(t.on_unissued, 0u);
+  EXPECT_GT(t.on_inflight, 0u);
+}
+
+TEST(WakeupIssue, SyncTaggedConsumerCountsAsSync) {
+  // A sync-tagged uop blocked on an operand is charged to sync whatever
+  // its producer is (§4.1: the sync tag overrides the data/memory class).
+  ProgramBuilder b("synctag");
+  isa::Reg bar = b.ireg(), r = b.ireg(), i = b.ireg(), n = b.ireg();
+  b.li(bar, 4096);
+  b.li(r, 7);
+  b.li(n, 30);
+  b.for_range(i, 0, n, 1, [&] {
+    b.sync_begin();
+    b.div(r, r, r);
+    b.mul(r, r, r);
+    b.sync_end();
+    b.add(r, r, i);
+  });
+  b.barrier(bar, ProgramBuilder::nthreads());
+  b.halt();
+  mem::PagedMemory memory;
+  const AuditTally t =
+      run_audited(arch_preset(ArchKind::kSmt4), b.take(), 8, memory);
+  EXPECT_GT(t.blocked_sync, 0u);
+  EXPECT_GT(t.stats.slots.fraction(Slot::kSync), 0.0);
+}
+
+TEST(WakeupIssue, FuLimitStallsAcrossSmtThreadsStayAgeOrdered) {
+  // Four threads per 4-wide cluster, each with independent int work, and
+  // two int units: ready uops of several threads lose to the FU limit
+  // every cycle and must be retried oldest first.
+  ArchConfig cfg = arch_preset(ArchKind::kSmt2);
+  cfg.cluster.int_units = 2;
+  ProgramBuilder b("fu");
+  std::vector<isa::Reg> regs;
+  for (int k = 0; k < 4; ++k) regs.push_back(b.ireg());
+  for (auto r : regs) b.li(r, 1);
+  for (int k = 0; k < 60; ++k) {
+    for (auto r : regs) b.add(r, r, r);
+  }
+  b.halt();
+  mem::PagedMemory memory;
+  const AuditTally t = run_audited(cfg, b.take(), 8, memory);
+  EXPECT_GE(t.max_ready, 4u);
+  EXPECT_GT(t.stats.slots.fraction(Slot::kStructural), 0.0);
+}
+
+TEST(WakeupIssue, DeferredCrossChipLoadWakesItsConsumers) {
+  // Two chips in deferred mode (DESIGN.md §13): a load that leaves the
+  // chip completes at a cycle only the end-of-cycle barrier knows, so its
+  // consumers are armed unbound and re-read the next cycle.
+  const ArchConfig cfg = arch_preset(ArchKind::kSmt2);
+  cache::MemSysParams mp;
+  noc::NocParams np;
+  np.nodes = 2;
+  noc::DashInterconnect dash(np, mp);
+  std::vector<std::unique_ptr<Chip>> chips;
+  for (unsigned c = 0; c < 2; ++c) {
+    chips.push_back(std::make_unique<Chip>(static_cast<ChipId>(c), cfg, mp,
+                                           dash));
+    dash.attach_chip(&chips.back()->memsys());
+    chips.back()->arm_deferred();
+  }
+  ProgramBuilder b("remote");
+  isa::Reg base = b.ireg(), v = b.ireg(), acc = b.ireg(), i = b.ireg(),
+           n = b.ireg(), off = b.ireg();
+  b.li(base, 1 << 20);
+  b.li(acc, 0);
+  b.li(n, 64);
+  b.for_range(i, 0, n, 1, [&] {
+    b.slli(off, i, 12);  // one line per home-interleave page: both homes
+    b.add(off, off, base);
+    b.ld(v, off, 0);
+    b.add(acc, acc, v);
+    b.st(off, 8, acc);
+  });
+  b.halt();
+  const isa::Program program = b.take();
+  mem::PagedMemory memory;
+  const unsigned nthreads = 2 * cfg.threads_per_chip();
+  exec::ThreadGroup group(program, memory, nthreads, 0);
+  for (unsigned t = 0; t < nthreads; ++t) {
+    chips[t / cfg.threads_per_chip()]->attach_thread(&group.thread(t));
+  }
+  AuditTally tally;
+  Cycle now = 0;
+  auto finished = [&] {
+    return chips[0]->finished() && chips[1]->finished();
+  };
+  while (!finished() && now < 1'000'000) {
+    for (auto& chip : chips) chip->tick(now);
+    for (auto& chip : chips) {
+      if (chip->memsys().has_deferred()) chip->memsys().resolve_deferred();
+    }
+    for (auto& chip : chips) {
+      if (chip->has_deferred_exec()) chip->drain_exec();
+    }
+    for (auto& chip : chips) {
+      audit_cycle(*chip, now, &tally);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+    ++now;
+  }
+  EXPECT_TRUE(finished()) << "pipeline did not drain";
+  EXPECT_GT(tally.unbound, 0u);
+  EXPECT_GT(tally.on_inflight, 0u);
 }
 
 TEST(Chip, ThreadPlacementFillsClustersInOrder) {

@@ -29,6 +29,36 @@ TEST(Json, StringEscapes) {
   EXPECT_EQ(uni->as_string(), "A\xc3\xa9");
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const unsigned limit = json::Value::kMaxDepth;
+  auto arrays = [](unsigned depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  auto objects = [](unsigned depth) {
+    std::string text;
+    for (unsigned i = 0; i < depth; ++i) text += "{\"a\":";
+    text += "1";
+    return text + std::string(depth, '}');
+  };
+  // At the limit both container kinds still parse.
+  const auto deepest = json::Value::parse(arrays(limit));
+  ASSERT_TRUE(deepest.has_value());
+  EXPECT_EQ(deepest->dump(), arrays(limit));
+  ASSERT_TRUE(json::Value::parse(objects(limit)).has_value());
+  // One level more is refused, as is a mix that crosses the limit.
+  EXPECT_FALSE(json::Value::parse(arrays(limit + 1)).has_value());
+  EXPECT_FALSE(json::Value::parse(objects(limit + 1)).has_value());
+  EXPECT_FALSE(
+      json::Value::parse("{\"a\":" + arrays(limit) + "}").has_value());
+  // A ~200 KB body of '[' (a POST /submit that used to crash the
+  // coordinator) is rejected without recursing through it.
+  EXPECT_FALSE(json::Value::parse(std::string(200'000, '[')).has_value());
+  // Depth is nesting, not count: many shallow siblings are fine.
+  std::string wide = "[";
+  for (unsigned i = 0; i < 4 * limit; ++i) wide += i ? ",[]" : "[]";
+  EXPECT_TRUE(json::Value::parse(wide + "]").has_value());
+}
+
 TEST(Json, NestedDocument) {
   json::Value doc = json::Value::object();
   doc["name"] = "fig7";

@@ -1,6 +1,7 @@
 // Tests for csmt::svc (DESIGN.md §15): the wire protocol round-trips, the
 // JobTable lease state machine (expiry, requeue-at-front, dedupe, late
-// uploads), and two end-to-end gates against a live coordinator —
+// uploads), a malformed-input check against a live coordinator, and two
+// end-to-end gates against it —
 //
 //   * a 2-worker distributed sweep whose results JSON is byte-identical
 //     (modulo host-time fields) to a local SweepRunner run, with a
@@ -301,6 +302,23 @@ std::optional<JobStatus> poll_job(const Coordinator& coord, std::uint64_t job,
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return std::nullopt;
+}
+
+TEST(SvcEndToEnd, DeeplyNestedSubmitIsRejectedAndServiceStaysUp) {
+  // A ~200 KB body of '[' used to recurse the JSON parser off the stack
+  // and take the coordinator down with it.
+  CoordinatorOptions copt;
+  copt.cache_dir = fresh_dir("deep");
+  Coordinator coord(copt);
+  ASSERT_TRUE(coord.start());
+  const auto res = net::http_request("127.0.0.1", coord.port(), "POST",
+                                     "/submit", std::string(200'000, '['));
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->status, 400);
+  const auto alive =
+      net::http_request("127.0.0.1", coord.port(), "GET", "/metrics");
+  ASSERT_TRUE(alive.has_value());
+  EXPECT_EQ(alive->status, 200);
 }
 
 TEST(SvcEndToEnd, TwoWorkerSweepMatchesLocalRunnerAndResubmitHitsCache) {
