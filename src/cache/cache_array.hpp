@@ -3,6 +3,7 @@
 // handled by MemSys on top of this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,18 +81,30 @@ class CacheArray {
   const CacheLevelParams& params() const { return params_; }
 
   /// Checkpoint visitor (ckpt::Serializer). Geometry (sets x assoc) is
-  /// config and only checked; tags, states, dirty bits, and the LRU clock
-  /// are restored so replacement decisions resume bit-identically.
+  /// config and only checked. Only valid ways travel, as a sparse table of
+  /// (index, tag, state, dirty, lru) records. An invalid way's tag and LRU
+  /// are dead state — probe(), insert() and the victim choice test valid()
+  /// before reading either — so the loader resets every way and applies
+  /// the records, and replacement resumes bit-identically. A record whose
+  /// state is not a valid one is refused.
   template <class Serializer>
   void serialize(Serializer& s) {
     s.check(sets_, "cache sets");
     s.check(lines_.size(), "cache line count");
-    for (auto& l : lines_) {
-      s.io(l.tag);
-      s.io(l.state);
-      s.io(l.dirty);
-      s.io(l.lru);
-    }
+    if (s.loading()) std::fill(lines_.begin(), lines_.end(), CacheLine{});
+    s.io_sparse(
+        lines_.size(), [&](std::uint64_t i) { return lines_[i].valid(); },
+        [&](std::uint64_t i) {
+          CacheLine& l = lines_[i];
+          s.io(l.tag);
+          s.io(l.state);
+          s.io(l.dirty);
+          s.io(l.lru);
+          if (s.loading() && l.state != LineState::kShared &&
+              l.state != LineState::kExclusive)
+            s.fail("cache line record has an invalid state");
+        },
+        "cache line");
     s.io(lru_clock_);
     s.io(stats_.hits);
     s.io(stats_.misses);

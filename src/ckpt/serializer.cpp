@@ -4,7 +4,7 @@
 //   [8B magic "CSMTCKPT"][u32 version][u32 reserved]
 //   [u64 spec_hash][u64 cycle][u64 payload_size]
 //   [u64 header_checksum]   (FNV-1a over the preceding 40 bytes)
-//   [payload]               (sections, each with its own checksum)
+//   [payload]               (sections, each with its own section_checksum)
 //
 // read_checkpoint() validates everything — magic, version, header checksum,
 // payload size, every section frame and checksum — before returning, so
@@ -16,7 +16,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace csmt::ckpt {
 namespace {
@@ -60,7 +59,7 @@ std::string validate_sections(const std::vector<std::uint8_t>& payload) {
       return "section '" + name + "' exceeds file";
     }
     const std::uint64_t want =
-        fnv1a_bytes(payload.data() + cur, static_cast<std::size_t>(plen));
+        section_checksum(payload.data() + cur, static_cast<std::size_t>(plen));
     cur += static_cast<std::size_t>(plen);
     const std::uint64_t got = get_u64_at(payload.data() + cur);
     cur += 8;
@@ -121,14 +120,11 @@ ReadResult read_checkpoint(const std::string& path) {
     r.error = "cannot open '" + path + "'";
     return r;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string bytes = text.str();
-  if (bytes.size() < kHeaderBytes) {
+  std::uint8_t p[kHeaderBytes];
+  if (!in.read(reinterpret_cast<char*>(p), kHeaderBytes)) {
     r.error = "file shorter than the checkpoint header";
     return r;
   }
-  const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
   if (std::memcmp(p, kMagic, 8) != 0) {
     r.error = "bad magic (not a csmt checkpoint)";
     return r;
@@ -147,11 +143,23 @@ ReadResult read_checkpoint(const std::string& path) {
   r.meta.spec_hash = get_u64_at(p + 16);
   r.meta.cycle = get_u64_at(p + 24);
   const std::uint64_t payload_size = get_u64_at(p + 32);
-  if (bytes.size() - kHeaderBytes != payload_size) {
+  // The payload is read straight into its vector, whose size the header
+  // gives; a hostile header could claim any size, so it must match the
+  // file's own before anything is allocated.
+  std::error_code ec;
+  const std::uintmax_t file_size = fs::file_size(path, ec);
+  if (ec || file_size - kHeaderBytes != payload_size) {
     r.error = "payload size mismatch (truncated or padded file)";
     return r;
   }
-  r.payload.assign(p + kHeaderBytes, p + bytes.size());
+  r.payload.resize(static_cast<std::size_t>(payload_size));
+  if (!in.read(reinterpret_cast<char*>(r.payload.data()),
+               static_cast<std::streamsize>(payload_size)) ||
+      in.peek() != std::ifstream::traits_type::eof()) {
+    r.error = "payload size mismatch (truncated or padded file)";
+    r.payload.clear();
+    return r;
+  }
   const std::string section_error = validate_sections(r.payload);
   if (!section_error.empty()) {
     r.error = section_error;

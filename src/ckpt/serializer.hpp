@@ -4,7 +4,7 @@
 // implements one `serialize(...)` method whose body is a sequence of io()
 // calls, and the same body both saves and loads — so the two directions can
 // never drift apart. State is framed into named sections, each carrying its
-// own length and FNV-1a checksum, under a fixed-size header (magic, format
+// own length and checksum, under a fixed-size header (magic, format
 // version, spec hash, cycle). The file layer (serializer.cpp) validates the
 // header and every section checksum *before* any component state is
 // mutated; the in-stream `check()` calls then verify machine shape (thread
@@ -18,6 +18,7 @@
 // dependency; only the file I/O lives in the csmt_ckpt library.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstdint>
@@ -32,20 +33,50 @@ namespace csmt::ckpt {
 
 /// Bump on any incompatible change to the checkpoint payload layout; files
 /// written by other versions are refused cleanly (DESIGN.md §10).
-/// v2: dynamic-allocation PR — cluster context bindings travel as data, the
-/// scheduler serializes its allocation-epoch horizon, and dynamic runs
-/// append an "alloc" section (controller + policy state).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v2: cluster context bindings travel as data, the scheduler serializes
+/// its allocation-epoch horizon, and dynamic runs append an "alloc" section
+/// (controller + policy state).
+/// v4: integers travel as varints, cache arrays and BTBs write only their
+/// live entries (sparse records), and section checksums hash 64-bit words
+/// (section_checksum).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// File magic: the first 8 bytes of every checkpoint.
 inline constexpr char kMagic[8] = {'C', 'S', 'M', 'T', 'C', 'K', 'P', 'T'};
 
-/// FNV-1a over raw bytes — same hash family the sweep cache keys use.
+/// FNV-1a over raw bytes — same hash family the sweep cache keys use. Guards
+/// the 40-byte file header, whose layout every format version shares, so a
+/// file from another version is refused by its version field, not by a
+/// checksum mismatch.
 inline std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t n) {
   std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < n; ++i) {
     h ^= data[i];
     h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Section checksum: FNV-1a over 64-bit little-endian words, with a
+/// xor-shift after each multiply so a word's high bits also reach the low
+/// bits of the state; a trailing partial word is hashed byte by byte. Every
+/// step is a bijection of the state, so any change confined to one word is
+/// always detected. One step per 8 bytes instead of per byte.
+inline std::uint64_t section_checksum(const std::uint8_t* data,
+                                      std::size_t n) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t h = 1469598103934665603ull;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, data + i, 8);
+    h ^= w;
+    h *= kPrime;
+    h ^= h >> 29;
+  }
+  for (; i < n; ++i) {
+    h ^= data[i];
+    h *= kPrime;
   }
   return h;
 }
@@ -64,6 +95,15 @@ class Serializer {
 
   /// Save mode: components append into a fresh payload buffer.
   Serializer() : mode_(Mode::kSave) {}
+
+  /// Save mode writing over `scratch`, whose bytes become room for the
+  /// payload: a caller that snapshots repeatedly hands each save the
+  /// previous payload back, so later saves never regrow the buffer.
+  static Serializer saving_into(std::vector<std::uint8_t> scratch) {
+    Serializer s;
+    s.buf_ = std::move(scratch);
+    return s;
+  }
 
   /// Load mode over a payload whose section checksums the file layer has
   /// already verified (Serializer re-verifies them per section anyway, so
@@ -89,23 +129,25 @@ class Serializer {
 
   // --- primitives ------------------------------------------------------
 
-  /// Integers (any width, any signedness) travel as 64-bit little-endian
-  /// words: fixed-size framing beats compactness for a format that must be
-  /// diffable and version-checkable.
+  /// Integers (any width, any signedness) travel as LEB128 varints of
+  /// their 64-bit value: seven bits per byte, low group first, the top bit
+  /// set on every byte but the last. Most checkpoint words are small
+  /// counts, indices, flags and cycle stamps, so most take one to three
+  /// bytes instead of eight.
   template <std::integral T>
   void io(T& v) {
     if (saving()) {
-      put_u64(static_cast<std::uint64_t>(v));
+      put_var(static_cast<std::uint64_t>(v));
     } else {
-      v = static_cast<T>(get_u64());
+      v = static_cast<T>(get_var());
     }
   }
 
   void io(bool& v) {
     if (saving()) {
-      put_u64(v ? 1 : 0);
+      put_var(v ? 1 : 0);
     } else {
-      v = get_u64() != 0;
+      v = get_var() != 0;
     }
   }
 
@@ -123,10 +165,10 @@ class Serializer {
     requires std::is_enum_v<E>
   void io(E& e) {
     if (saving()) {
-      put_u64(static_cast<std::uint64_t>(
+      put_var(static_cast<std::uint64_t>(
           static_cast<std::underlying_type_t<E>>(e)));
     } else {
-      e = static_cast<E>(static_cast<std::underlying_type_t<E>>(get_u64()));
+      e = static_cast<E>(static_cast<std::underlying_type_t<E>>(get_var()));
     }
   }
 
@@ -143,7 +185,7 @@ class Serializer {
                 static_cast<std::size_t>(n));
       cursor_ += static_cast<std::size_t>(n);
     } else {
-      buf_.insert(buf_.end(), sv.begin(), sv.end());
+      append(sv.data(), sv.size());
     }
   }
 
@@ -151,8 +193,7 @@ class Serializer {
   /// truncated load the destination is zero-filled.
   void io_bytes(void* p, std::size_t n) {
     if (saving()) {
-      const auto* b = static_cast<const std::uint8_t*>(p);
-      buf_.insert(buf_.end(), b, b + n);
+      append(p, n);
     } else {
       if (!ok_ || remaining() < n) {
         fail("byte run exceeds payload");
@@ -181,6 +222,46 @@ class Serializer {
     for (auto& e : v) io(e);
   }
 
+  /// A sparse table of `size` entries: the count of entries for which
+  /// `live(i)` holds, then for each of them, in increasing index order, its
+  /// index followed by whatever `record(i)` visits. The loader refuses a
+  /// count above `size` and an index out of range or not above its
+  /// predecessor (so no duplicates) before record(i) reads into entry i;
+  /// the caller resets the dead entries beforehand and checks the fields
+  /// record() read. `what` names the entries in error messages.
+  template <typename Live, typename Record>
+  void io_sparse(std::uint64_t size, Live live, Record record,
+                 const char* what) {
+    if (saving()) {
+      std::uint64_t n = 0;
+      for (std::uint64_t i = 0; i < size; ++i) n += live(i) ? 1 : 0;
+      io(n);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        if (!live(i)) continue;
+        io(i);
+        record(i);
+      }
+      return;
+    }
+    std::uint64_t n = 0;
+    io(n);
+    if (ok_ && n > size) {
+      fail(std::string(what) + " count exceeds the table");
+      return;
+    }
+    std::uint64_t next = 0;  // smallest index the next record may use
+    for (std::uint64_t k = 0; k < n && ok_; ++k) {
+      std::uint64_t i = 0;
+      io(i);
+      if (ok_ && (i < next || i >= size)) {
+        fail(std::string(what) + " index out of range or out of order");
+      }
+      if (!ok_) return;
+      record(i);
+      next = i + 1;
+    }
+  }
+
   /// Shape verification: saves the value; on load compares it against the
   /// live machine's value and fails (pre-mutation) on mismatch. Used for
   /// everything the machine derives from its config — thread counts, window
@@ -189,20 +270,20 @@ class Serializer {
   template <std::integral T>
   void check(T v, const char* what) {
     if (saving()) {
-      put_u64(static_cast<std::uint64_t>(v));
+      put_var(static_cast<std::uint64_t>(v));
       return;
     }
-    const std::uint64_t got = get_u64();
+    const std::uint64_t got = get_var();
     if (ok_ && got != static_cast<std::uint64_t>(v)) {
       fail(std::string("shape mismatch: ") + what);
     }
   }
 
   /// True iff a stored element count can fit in the remaining payload
-  /// (every element costs at least one 64-bit word). Fails when not.
+  /// (every element costs at least one byte). Fails when not.
   bool bounded_count(std::uint64_t n) {
     if (!ok_) return false;
-    if (n > remaining() / 8) {
+    if (n > remaining()) {
       fail("element count exceeds payload");
       return false;
     }
@@ -210,7 +291,8 @@ class Serializer {
   }
 
   // --- sections --------------------------------------------------------
-  // Frame: [u32 name_len][name][u64 payload_len][payload][u64 fnv1a].
+  // Frame: [u32 name_len][name][u64 payload_len][payload]
+  //        [u64 section_checksum(payload)].
   // Single level, fixed order; a name mismatch on load means the writer and
   // reader disagree about the component sequence and the load fails before
   // that component's state is applied.
@@ -224,9 +306,9 @@ class Serializer {
     in_section_ = true;
     if (saving()) {
       put_u32(static_cast<std::uint32_t>(name.size()));
-      buf_.insert(buf_.end(), name.begin(), name.end());
+      append(name.data(), name.size());
       put_u64(0);  // length placeholder, patched by end_section()
-      section_start_ = buf_.size();
+      section_start_ = cursor_;
       return;
     }
     const std::uint32_t len = get_u32();
@@ -259,10 +341,10 @@ class Serializer {
     in_section_ = false;
     if (!ok_) return;
     if (saving()) {
-      const std::uint64_t plen = buf_.size() - section_start_;
+      const std::uint64_t plen = cursor_ - section_start_;
       std::memcpy(buf_.data() + section_start_ - 8, &plen, 8);
-      put_u64(fnv1a_bytes(buf_.data() + section_start_,
-                          static_cast<std::size_t>(plen)));
+      put_u64(section_checksum(buf_.data() + section_start_,
+                               static_cast<std::size_t>(plen)));
       return;
     }
     if (cursor_ != section_end_) {
@@ -270,28 +352,39 @@ class Serializer {
            "was written)");
       return;
     }
-    const std::uint64_t want = fnv1a_bytes(buf_.data() + section_start_,
-                                           section_end_ - section_start_);
+    const std::uint64_t want = section_checksum(
+        buf_.data() + section_start_, section_end_ - section_start_);
     const std::uint64_t got = get_u64();
     if (ok_ && got != want) fail("section checksum mismatch");
   }
 
   /// The assembled payload (save mode, after all sections are closed).
-  std::vector<std::uint8_t> take_payload() { return std::move(buf_); }
+  std::vector<std::uint8_t> take_payload() {
+    buf_.resize(cursor_);
+    return std::move(buf_);
+  }
 
  private:
+  /// Load mode: unread payload bytes.
   std::size_t remaining() const { return buf_.size() - cursor_; }
 
-  void put_u64(std::uint64_t v) {
-    std::uint8_t b[8];
-    std::memcpy(b, &v, 8);  // host is little-endian; format is little-endian
-    buf_.insert(buf_.end(), b, b + 8);
+  // Save mode writes at cursor_ (the payload length so far); buf_.size() is
+  // room that grows geometrically, so an append is a bounds check and a
+  // copy, never a per-write resize. The host is little-endian, and so is
+  // the format.
+  std::uint8_t* room(std::size_t n) {
+    if (buf_.size() - cursor_ < n)
+      buf_.resize(std::max(2 * buf_.size(), cursor_ + n + 4096));
+    return buf_.data() + cursor_;
   }
-  void put_u32(std::uint32_t v) {
-    std::uint8_t b[4];
-    std::memcpy(b, &v, 4);
-    buf_.insert(buf_.end(), b, b + 4);
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;
+    std::memcpy(room(n), p, n);
+    cursor_ += n;
   }
+
+  void put_u64(std::uint64_t v) { append(&v, 8); }
+  void put_u32(std::uint32_t v) { append(&v, 4); }
   std::uint64_t get_u64() {
     if (!ok_ || remaining() < 8) {
       fail("read past end of payload");
@@ -301,6 +394,31 @@ class Serializer {
     std::memcpy(&v, buf_.data() + cursor_, 8);
     cursor_ += 8;
     return v;
+  }
+  void put_var(std::uint64_t v) {
+    std::uint8_t* const start = room(10);
+    std::uint8_t* p = start;
+    for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::uint8_t>(v | 0x80);
+    *p++ = static_cast<std::uint8_t>(v);
+    cursor_ += static_cast<std::size_t>(p - start);
+  }
+  /// Refuses a varint that runs off the payload or past 64 bits.
+  std::uint64_t get_var() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0; ok_ && shift < 64; shift += 7) {
+      if (remaining() == 0) {
+        fail("read past end of payload");
+        break;
+      }
+      const std::uint8_t b = buf_[cursor_++];
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        if (shift == 63 && b > 1) break;  // bits beyond the 64th
+        return v;
+      }
+    }
+    fail("malformed integer");
+    return 0;
   }
   std::uint32_t get_u32() {
     if (!ok_ || remaining() < 4) {
@@ -315,7 +433,7 @@ class Serializer {
 
   Mode mode_;
   std::vector<std::uint8_t> buf_;
-  std::size_t cursor_ = 0;
+  std::size_t cursor_ = 0;  ///< load: read position; save: payload length
   bool ok_ = true;
   std::string error_;
   bool in_section_ = false;

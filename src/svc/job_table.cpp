@@ -46,6 +46,7 @@ JobTable::SubmitOutcome JobTable::submit(
     } else {
       p.state = State::kQueued;
       queue_.push_back(hash);
+      ++out.queued;
     }
     points_.emplace(hash, std::move(p));
   }

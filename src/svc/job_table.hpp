@@ -62,6 +62,7 @@ class JobTable {
     std::uint64_t total = 0;
     std::uint64_t cached = 0;
     std::uint64_t deduped = 0;
+    std::uint64_t queued = 0;  ///< points this submission added to the queue
     bool complete = false;
   };
 

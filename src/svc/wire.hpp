@@ -68,7 +68,9 @@ struct Lease {
 
 struct LeaseResponse {
   std::vector<Lease> leases;
-  std::uint64_t idle_ms = 200;      ///< poll-again delay when empty
+  /// Poll-again delay when empty; 0 when the coordinator already waited
+  /// (the /lease long poll), so the worker re-polls at once.
+  std::uint64_t idle_ms = 200;
   std::uint64_t heartbeat_ms = 1000;///< expected heartbeat period
   bool shutdown = false;            ///< coordinator draining: worker exits
 

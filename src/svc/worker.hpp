@@ -9,7 +9,8 @@
 //      arming, execute, publish, ckpt cleanup — the full local semantics).
 //      A background thread heartbeats the held lease every heartbeat_ms.
 //   3. POST /result — upload the finished point.
-//   4. Empty lease response: sleep idle_ms and pull again. shutdown flag or
+//   4. Empty lease response: sleep idle_ms and pull again (0 after the
+//      coordinator's long poll already waited). shutdown flag or
 //      `max_failures` consecutive unreachable-coordinator exchanges: exit.
 //
 // If the worker dies mid-point (crash, SIGKILL), its heartbeats stop, the
