@@ -137,6 +137,23 @@ class PagedMemory {
     }
   }
 
+  /// Load-mode visit of a saved memory that keeps none of it: the same
+  /// reads and checks as serialize(), with every page read into one
+  /// scratch buffer. A checkpoint dry run decodes memory this way, so it
+  /// can refuse a payload without a second copy of the pages.
+  template <class Serializer>
+  static void skim(Serializer& s) {
+    std::uint64_t n = 0;
+    s.io(n);
+    if (!s.bounded_count(n)) return;
+    Page scratch;
+    for (std::uint64_t i = 0; i < n && s.ok(); ++i) {
+      Addr k = 0;
+      s.io(k);
+      s.io_bytes(scratch.words, kPageBytes);
+    }
+  }
+
  private:
   struct Page {
     std::uint64_t words[kPageWords] = {};
